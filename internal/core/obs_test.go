@@ -63,8 +63,8 @@ func TestSpanTreeDeterministicAcrossSchedules(t *testing.T) {
 
 // TestSpanChildOrderDeterministic: the per-product children of the
 // root (and the family children of each check span) must appear in
-// index order regardless of scheduling, because the parallel fan-out
-// pre-creates them before dispatch.
+// index order regardless of scheduling, because the product pool
+// creates each job's span at dispatch, in index order.
 func TestSpanChildOrderDeterministic(t *testing.T) {
 	order := func(root *obs.Span) []string {
 		var names []string
@@ -134,7 +134,7 @@ func TestReportStatsCacheCounters(t *testing.T) {
 }
 
 // TestPipelineMetricsUnderRaceWithScrape hammers one shared registry
-// from concurrent pipeline runs (each with the per-tree fan-out) while
+// from concurrent pipeline runs (each with its product pool) while
 // scraping /metrics text in parallel; run under -race this is the
 // tentpole's registry-safety check. It then asserts the scraped totals
 // match the sum of the per-run reports.

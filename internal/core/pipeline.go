@@ -7,10 +7,10 @@
 // Bao hypervisor configuration files of Listings 3 and 6.
 //
 // Products are independent, so the pipeline checks them concurrently:
-// each VM (and the platform union) is derived and checked by its own
-// worker on a pool bounded by Limits.Parallelism, and within one tree
-// the four checker families (syntactic, semantic, memreserve,
-// interrupt) fan out as well. Every worker builds its own checkers —
+// each VM (and the platform union) is derived and checked as one job on
+// a worker pool bounded by Limits.Parallelism, and the job runs the
+// four checker families (syntactic, semantic, memreserve, interrupt) of
+// its tree in their fixed order. Every job builds its own checkers —
 // smt.Context/smt.Solver are confined to one goroutine — and writes
 // into a pre-sized report slot, so the Report is byte-identical to a
 // serial run regardless of scheduling. An optional content-addressed
@@ -49,9 +49,11 @@ type Limits struct {
 	// deriving each product (0 = unlimited).
 	MaxDeltaOps int
 	// Parallelism bounds the worker pool that derives and checks
-	// products concurrently, and enables the per-tree checker fan-out.
-	// 0 means runtime.GOMAXPROCS(0); 1 restores fully serial
-	// execution. The Report is byte-identical at every setting.
+	// products concurrently; each product's checker families run in
+	// order on its own worker. 0 means runtime.GOMAXPROCS(0); 1 runs
+	// the products one after another on the calling goroutine. The
+	// Report, and the error of a failed run, are identical at every
+	// setting.
 	Parallelism int
 }
 
@@ -254,7 +256,6 @@ func (p *Pipeline) Run() (*Report, error) {
 // worker, and accumulates the run's work statistics.
 type runState struct {
 	limits   Limits
-	parallel bool   // fan the checker families out per tree
 	schemaFP string // schema-set fingerprint, "" when Cache is nil
 
 	mu    sync.Mutex
@@ -278,8 +279,7 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 		return nil, err
 	}
 	report := AcquireReport()
-	workers := limits.parallelism()
-	st := &runState{limits: limits, parallel: workers > 1}
+	st := &runState{limits: limits}
 	if p.Cache != nil {
 		st.schemaFP = p.Schemas.Fingerprint()
 	}
@@ -327,18 +327,7 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 	report.vmSlots(len(p.VMConfigs))
 	union := featmodel.PlatformUnion(p.VMConfigs)
 
-	if !st.parallel {
-		for i := range p.VMConfigs {
-			span := root.StartChild("vm:" + p.vmName(i))
-			if err := p.deriveAndCheckVM(ctx, st, i, &report.VMs[i], span); err != nil {
-				return nil, err
-			}
-		}
-		span := root.StartChild("platform")
-		if err := p.deriveAndCheckPlatform(ctx, st, union, &report.Platform, span); err != nil {
-			return nil, err
-		}
-	} else if err := p.runProductsParallel(ctx, st, workers, union, report, root); err != nil {
+	if err := p.runProducts(ctx, st, union, report, root); err != nil {
 		return nil, err
 	}
 
@@ -381,154 +370,55 @@ func (p *Pipeline) vmName(i int) string {
 	return fmt.Sprintf("vm%d", i+1)
 }
 
-// runProductsParallel derives and checks every VM product plus the
-// platform union on a bounded worker pool. Results land in pre-sized
-// report slots, so the outcome is independent of scheduling; a failure
-// (or a caller cancellation) cancels the sibling workers, and a worker
-// panic is isolated and re-raised on the calling goroutine so the
-// server's panic recovery still contains it. Per-job errors are kept
-// in index order and the reported one is chosen after the pool drains,
-// so the error (and its phase) does not depend on which worker lost
-// the race.
-func (p *Pipeline) runProductsParallel(ctx context.Context, st *runState, workers int, union featmodel.Configuration, report *Report, root *obs.Span) error {
-	jobs := len(report.VMs) + 1 // VMs plus the platform union
-	if workers > jobs {
-		workers = jobs
+// runProducts derives and checks every VM product plus the platform
+// union, one runPool job each (the platform is the last index), each
+// under a span named after its phase. Results land in pre-sized report
+// slots, so the outcome is independent of scheduling, and runPool's
+// serial error semantics make the returned error — and its phase —
+// independent of it too.
+func (p *Pipeline) runProducts(ctx context.Context, st *runState, union featmodel.Configuration, report *Report, root *obs.Span) error {
+	phases := make([]string, len(report.VMs)+1)
+	for i := range report.VMs {
+		phases[i] = "vm:" + p.vmName(i)
 	}
-	// Pre-create the per-product spans in index order, before any
-	// worker runs: StartChild appends under the parent's lock, so
-	// creating them here keeps the span tree identical to a serial
-	// run's regardless of which worker finishes first.
-	spans := make([]*obs.Span, jobs)
-	if root != nil {
-		for i := range report.VMs {
-			spans[i] = root.StartChild("vm:" + p.vmName(i))
+	phases[len(report.VMs)] = "platform"
+	return runPool(ctx, st.limits.parallelism(), root, phases, func(ctx context.Context, i int, span *obs.Span) error {
+		var err error
+		if i < len(report.VMs) {
+			vm := &report.VMs[i]
+			vm.Name, vm.Config = p.vmName(i), p.VMConfigs[i]
+			vm.Trace, vm.Tree, vm.DTS, vm.Violations, err = p.deriveAndCheck(ctx, st,
+				vm.Config, phases[i], "VM "+vm.Name, span)
+			return err
 		}
-		spans[jobs-1] = root.StartChild("platform")
-	}
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		wg        sync.WaitGroup
-		jobErrs   = make([]error, jobs) // each job writes only its own slot
-		panicOnce sync.Once
-		panicVal  interface{}
-	)
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				func(i int) {
-					defer func() {
-						if r := recover(); r != nil {
-							panicOnce.Do(func() { panicVal = r })
-							cancel()
-						}
-					}()
-					var err error
-					if i < len(report.VMs) {
-						err = p.deriveAndCheckVM(wctx, st, i, &report.VMs[i], spans[i])
-					} else {
-						err = p.deriveAndCheckPlatform(wctx, st, union, &report.Platform, spans[i])
-					}
-					if err != nil {
-						jobErrs[i] = err
-						cancel()
-					}
-				}(i)
-			}
-		}()
-	}
-	for i := 0; i < jobs; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
-	return lowestPrimaryError(ctx, jobErrs)
-}
-
-// lowestPrimaryError picks the error a parallel fan-out reports. A
-// serial run always fails on the lowest-index job, but in a pool the
-// first observed failure is scheduling-dependent, and siblings
-// canceled because of it record bare context.Canceled errors that
-// would mask the real cause. Preferring the lowest-index failure that
-// is not an induced cancellation — unless the caller itself canceled,
-// in which case every cancellation is genuine — keeps the reported
-// error (and its phase) independent of worker count and timing.
-func lowestPrimaryError(ctx context.Context, errs []error) error {
-	var fallback error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if fallback == nil {
-			fallback = err
-		}
-		if ctx.Err() == nil && errors.Is(err, context.Canceled) {
-			continue // canceled by a sibling's failure, not a primary cause
-		}
+		pl := &report.Platform
+		pl.Config = union
+		pl.Trace, pl.Tree, pl.DTS, pl.Violations, err = p.deriveAndCheck(ctx, st,
+			union, phases[i], "platform", span)
 		return err
-	}
-	return fallback
+	})
 }
 
-// deriveAndCheckVM derives the product for VM i, checks it, and fills
-// the result slot. Errors come back in the same shapes as a serial
-// run: limit causes wrapped in *LimitError, structural delta failures
-// as plain errors naming the VM.
-func (p *Pipeline) deriveAndCheckVM(ctx context.Context, st *runState, i int, out *VMResult, span *obs.Span) error {
-	span.Begin() // pre-created for deterministic order; work starts here
-	defer span.End()
-	name := p.vmName(i)
-	out.Name = name
-	out.Config = p.VMConfigs[i]
+// deriveAndCheck derives the product for cfg and checks it, returning
+// its delta trace, tree, rendered DTS and violations. Limit causes come
+// back wrapped in a *LimitError for phase ("vm:<name>" or "platform"),
+// structural delta failures as plain errors prefixed with label.
+func (p *Pipeline) deriveAndCheck(ctx context.Context, st *runState, cfg featmodel.Configuration, phase, label string, span *obs.Span) ([]string, *dts.Tree, string, []constraints.Violation, error) {
 	derive := span.StartChild("derive")
-	tree, trace, err := p.Deltas.ApplyContext(ctx, p.Core, p.VMConfigs[i], st.limits.MaxDeltaOps)
+	tree, trace, err := p.Deltas.ApplyContext(ctx, p.Core, cfg, st.limits.MaxDeltaOps)
 	derive.SetInt("deltas", uint64(len(trace)))
 	derive.End()
 	if err != nil {
 		if isLimitCause(err) {
-			return &LimitError{Phase: "vm:" + name, Err: err}
+			return nil, nil, "", nil, &LimitError{Phase: phase, Err: err}
 		}
-		return fmt.Errorf("core: VM %s: %w", name, err)
+		return nil, nil, "", nil, fmt.Errorf("core: %s: %w", label, err)
 	}
-	out.Tree = tree
-	out.Trace = trace
-	out.DTS, out.Violations, err = p.checkProductTree(ctx, st, tree, span)
+	text, violations, err := p.checkProductTree(ctx, st, tree, span)
 	if err != nil {
-		return &LimitError{Phase: "vm:" + name, Err: err}
+		return nil, nil, "", nil, &LimitError{Phase: phase, Err: err}
 	}
-	return nil
-}
-
-// deriveAndCheckPlatform derives and checks the union product.
-func (p *Pipeline) deriveAndCheckPlatform(ctx context.Context, st *runState, union featmodel.Configuration, out *PlatformResult, span *obs.Span) error {
-	span.Begin()
-	defer span.End()
-	derive := span.StartChild("derive")
-	tree, trace, err := p.Deltas.ApplyContext(ctx, p.Core, union, st.limits.MaxDeltaOps)
-	derive.SetInt("deltas", uint64(len(trace)))
-	derive.End()
-	if err != nil {
-		if isLimitCause(err) {
-			return &LimitError{Phase: "platform", Err: err}
-		}
-		return fmt.Errorf("core: platform: %w", err)
-	}
-	out.Config = union
-	out.Trace = trace
-	out.Tree = tree
-	out.DTS, out.Violations, err = p.checkProductTree(ctx, st, tree, span)
-	if err != nil {
-		return &LimitError{Phase: "platform", Err: err}
-	}
-	return nil
+	return trace, tree, text, violations, nil
 }
 
 // checkProductTree renders the tree (unless skipped), consults the
@@ -594,8 +484,8 @@ type checkerFamily struct {
 
 // checkerFamilies returns the independent checker families for one
 // tree, in the deterministic merge order. Each closure builds its own
-// checkers on first use — smt.Context is confined to one goroutine, so
-// families must not share solver state when they run concurrently.
+// checkers when run, on the product job's goroutine — smt.Context is
+// confined to one goroutine, so no solver state is shared across jobs.
 func (p *Pipeline) checkerFamilies(st *runState, tree *dts.Tree) []checkerFamily {
 	families := []checkerFamily{
 		{name: "syntactic", run: func(ctx context.Context) ([]constraints.Violation, FamilyStats, error) {
@@ -634,10 +524,14 @@ func (p *Pipeline) checkerFamilies(st *runState, tree *dts.Tree) []checkerFamily
 	return families
 }
 
-// runFamily executes one family under its span, records its stats and
-// annotates the span with the family's solver work.
-func (p *Pipeline) runFamily(ctx context.Context, st *runState, f checkerFamily, span *obs.Span) ([]constraints.Violation, error) {
-	span.Begin() // pre-created for deterministic order; work starts here
+// runFamily executes one family under a "family:<name>" child of
+// parent, records its stats and annotates the span with the family's
+// solver work.
+func (p *Pipeline) runFamily(ctx context.Context, st *runState, f checkerFamily, parent *obs.Span) ([]constraints.Violation, error) {
+	var span *obs.Span
+	if parent != nil { // skip building the span name when untraced
+		span = parent.StartChild("family:" + f.name)
+	}
 	defer span.End()
 	var t0 time.Time
 	if p.Metrics != nil {
@@ -662,70 +556,19 @@ func (p *Pipeline) runFamily(ctx context.Context, st *runState, f checkerFamily,
 	return vs, err
 }
 
-// checkTree runs the checker families over one tree and merges their
-// violations in family order. With parallelism enabled the families
-// run concurrently (they are mutually independent; each owns its
-// solver), and the merge order keeps the output identical to a serial
-// run. Family spans are pre-created in family order before any
-// goroutine starts, so the span tree is schedule-independent too.
+// checkTree runs the checker families over one tree in their fixed
+// order and merges their violations in that order, stopping at the
+// first family error.
 func (p *Pipeline) checkTree(ctx context.Context, st *runState, tree *dts.Tree, span *obs.Span) ([]constraints.Violation, error) {
-	families := p.checkerFamilies(st, tree)
-	scratch := acquireTreeScratch(len(families))
-	defer scratch.release()
-	spans := scratch.spans
-	if span != nil {
-		for i, f := range families {
-			spans[i] = span.StartChild("family:" + f.name)
-		}
-	}
-	if !st.parallel {
-		var out []constraints.Violation
-		for i, f := range families {
-			vs, err := p.runFamily(ctx, st, f, spans[i])
-			out = append(out, vs...)
-			if err != nil {
-				return out, err
-			}
-		}
-		return out, nil
-	}
-
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	results := scratch.results
-	famErrs := scratch.errs
-	var (
-		wg        sync.WaitGroup
-		panicOnce sync.Once
-		panicVal  interface{}
-	)
-	for i, f := range families {
-		wg.Add(1)
-		go func(i int, f checkerFamily) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicVal = r })
-					cancel()
-				}
-			}()
-			vs, err := p.runFamily(fctx, st, f, spans[i])
-			results[i] = vs
-			if err != nil {
-				famErrs[i] = err
-				cancel()
-			}
-		}(i, f)
-	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
 	var out []constraints.Violation
-	for _, vs := range results {
+	for _, f := range p.checkerFamilies(st, tree) {
+		vs, err := p.runFamily(ctx, st, f, span)
 		out = append(out, vs...)
+		if err != nil {
+			return out, err
+		}
 	}
-	return out, lowestPrimaryError(ctx, famErrs)
+	return out, nil
 }
 
 // isLimitCause reports whether a delta-application error stems from

@@ -1,19 +1,112 @@
 package core
 
 import (
+	"context"
 	"sync"
 
 	"llhsc/internal/constraints"
 	"llhsc/internal/obs"
 )
 
-// This file is the pooled-buffer half of the zero-allocation hot path
-// (DESIGN.md §13): the Report shell and the per-tree checker fan-out
-// scratch are recycled through sync.Pools instead of re-allocated per
-// run. The server pays these allocations once per request, so in
-// steady state a /check that hits the word tier and the check cache
-// touches the allocator only for data that actually escapes into the
-// response.
+// runPool runs one job per entry of names on min(workers, len(names))
+// workers, with the error semantics of a serial loop. Jobs are
+// dispatched in index order. When root is non-nil, each job runs under
+// its own child span of root, named names[i], created at dispatch under
+// the dispatch lock — so children appear in index order whatever the
+// schedule, and a job never dispatched leaves no span — and ended when
+// the job returns.
+//
+// A failure at job i stops dispatch of later jobs and cancels only the
+// running jobs with index > i, whose results can no longer matter; jobs
+// below i run to completion, since one of them may fail too. runPool
+// returns the lowest-index error, so the reported error is the one a
+// serial run reports, whatever the schedule. With one worker the jobs
+// run on the calling goroutine in index order and stop at the first
+// failure.
+//
+// A panicking job counts as a failure at its index. It is recovered on
+// its worker and, if it is the lowest-index failure, re-raised on the
+// calling goroutine once the pool drains, so the server's panic
+// recovery still contains it.
+func runPool(ctx context.Context, workers int, root *obs.Span, names []string, job func(ctx context.Context, i int, span *obs.Span) error) error {
+	n := len(names)
+	var (
+		mu       sync.Mutex
+		next     int
+		failed   = n // lowest failed index; n while none has failed
+		err      error
+		panicVal interface{}                     // recover() is never nil for a panic (Go 1.21+)
+		cancels  = make([]context.CancelFunc, n) // set at dispatch; idempotent
+	)
+	// fail records the outcome of a failed job i (an error or a panic
+	// value) and cancels the running jobs above it.
+	fail := func(i int, e error, p interface{}) {
+		mu.Lock()
+		defer mu.Unlock()
+		if i > failed {
+			return
+		}
+		failed, err, panicVal = i, e, p
+		for j := i + 1; j < next; j++ {
+			cancels[j]()
+		}
+	}
+	run := func(jctx context.Context, i int, span *obs.Span) {
+		defer span.End()
+		defer func() {
+			if p := recover(); p != nil {
+				fail(i, nil, p)
+			}
+		}()
+		if e := job(jctx, i, span); e != nil {
+			fail(i, e, nil)
+		}
+	}
+	worker := func() {
+		for {
+			mu.Lock()
+			i := next
+			if i >= failed {
+				mu.Unlock()
+				return
+			}
+			next++
+			jctx, cancel := context.WithCancel(ctx)
+			cancels[i] = cancel
+			var span *obs.Span
+			if root != nil {
+				span = root.StartChild(names[i])
+			}
+			mu.Unlock()
+			run(jctx, i, span)
+			cancel()
+		}
+	}
+	if workers > n {
+		workers = n
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			worker()
+		}()
+	}
+	worker()
+	wg.Wait()
+	if panicVal != nil {
+		panic(panicVal)
+	}
+	return err
+}
+
+// The rest of this file is the pooled-buffer half of the
+// zero-allocation hot path (DESIGN.md §13): the Report shell is recycled
+// through a sync.Pool instead of re-allocated per run. The server pays
+// these allocations once per request, so in steady state a /check that
+// hits the word tier and the check cache touches the allocator only for
+// data that actually escapes into the response.
 
 // reportPool recycles Report shells between runs. Only memory that
 // never escapes a released report is reused: the struct itself, the
@@ -73,46 +166,4 @@ func (r *Report) vmSlots(n int) {
 	for i := range r.VMs {
 		r.VMs[i] = VMResult{}
 	}
-}
-
-// treeScratch is the per-tree fan-out scratch checkTree recycles: the
-// family span list plus the per-family result and error slots of the
-// parallel path. None of it escapes the call — the merged violation
-// slice is built fresh because it lands in the Report — so pooling
-// removes the fan-out's fixed slice allocations for every tree checked.
-type treeScratch struct {
-	spans   []*obs.Span
-	results [][]constraints.Violation
-	errs    []error
-}
-
-var treeScratchPool = sync.Pool{New: func() interface{} { return new(treeScratch) }}
-
-// acquireTreeScratch returns a scratch with n zeroed slots in each
-// buffer.
-func acquireTreeScratch(n int) *treeScratch {
-	s := treeScratchPool.Get().(*treeScratch)
-	if cap(s.spans) < n {
-		s.spans = make([]*obs.Span, n)
-		s.results = make([][]constraints.Violation, n)
-		s.errs = make([]error, n)
-		return s
-	}
-	s.spans = s.spans[:n]
-	s.results = s.results[:n]
-	s.errs = s.errs[:n]
-	for i := 0; i < n; i++ {
-		s.spans[i], s.results[i], s.errs[i] = nil, nil, nil
-	}
-	return s
-}
-
-// release drops every reference the scratch still holds (spans stay
-// alive through their parent; violations through the merged slice) and
-// returns it to the pool.
-func (s *treeScratch) release() {
-	for i := range s.spans {
-		s.spans[i], s.results[i], s.errs[i] = nil, nil, nil
-	}
-	treeScratchPool.Put(s)
 }

@@ -41,9 +41,9 @@ func NewSpan(name string) *Span {
 
 // StartChild starts a child span under s. On a nil span it returns
 // nil, so instrumentation chains through uninstrumented runs for free.
-// Children keep their creation order; parallel fan-outs that need a
-// deterministic tree pre-create one child per task in index order
-// before dispatching (core.Pipeline does).
+// Children keep their creation order; a worker pool that needs a
+// deterministic tree creates each task's child at dispatch, in index
+// order (core.Pipeline does).
 func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
@@ -53,20 +53,6 @@ func (s *Span) StartChild(name string) *Span {
 	s.children = append(s.children, c)
 	s.mu.Unlock()
 	return c
-}
-
-// Begin re-marks the span's start as now. Spans pre-created in index
-// order for a deterministic tree (see StartChild) otherwise measure
-// queue wait as work; the worker calls Begin when it actually starts.
-func (s *Span) Begin() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if !s.ended {
-		s.start = time.Now()
-	}
-	s.mu.Unlock()
 }
 
 // End records the span's duration. Repeated End calls keep the first.

@@ -115,31 +115,33 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// statusRecorder captures the response status for metrics and logs.
+// statusRecorder captures the response status and calls commit with it
+// exactly once, when the status is committed: at the first WriteHeader
+// or Write, before the call reaches the underlying writer. The request is therefore recorded
+// before the client can read any of the response.
 type statusRecorder struct {
 	http.ResponseWriter
-	code int
+	code   int
+	commit func(status int)
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
-	if r.code == 0 {
-		r.code = code
-	}
+	r.commitStatus(code)
 	r.ResponseWriter.WriteHeader(code)
 }
 
 func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.code == 0 {
-		r.code = http.StatusOK
-	}
+	r.commitStatus(http.StatusOK)
 	return r.ResponseWriter.Write(b)
 }
 
-func (r *statusRecorder) status() int {
+// commitStatus fixes the status and fires commit, if that has not
+// happened yet.
+func (r *statusRecorder) commitStatus(code int) {
 	if r.code == 0 {
-		return http.StatusOK
+		r.code = code
+		r.commit(code)
 	}
-	return r.code
 }
 
 // endpointLabel bounds the endpoint label to the known routes so a
@@ -222,7 +224,11 @@ func (l *jsonLogger) log(line logLine) {
 // tracks latency and in-flight metrics, emits exactly one structured
 // log line per request — for non-2xx responses including the phase
 // reached and the taxonomy class — and files the request's flight
-// record.
+// record. The request is recorded when its status is committed, so a
+// client that reads its response then scrapes /metrics or
+// /debug/flight always finds its own request; a handler that never
+// writes is recorded, as an implicit 200, when it returns. Annotations
+// made after the first write (say, a panic mid-body) miss the record.
 func (s *server) observe(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -237,28 +243,29 @@ func (s *server) observe(next http.Handler) http.Handler {
 			ctx = obs.ContextWithSpan(ctx, sc.span)
 		}
 		w.Header().Set("X-Request-ID", id)
-		rec := &statusRecorder{ResponseWriter: w}
+		rec := &statusRecorder{ResponseWriter: w, commit: func(status int) {
+			elapsed := time.Since(start)
+			if s.metrics != nil {
+				ep, class := endpointLabel(r.URL.Path), statusClass(status)
+				s.metrics.requestSeconds.With(ep, class).Observe(elapsed.Seconds())
+				s.metrics.requests.With(ep, class).Inc()
+			}
+			if sc.span != nil {
+				sc.span.End()
+			}
+			if s.logger != nil {
+				s.logger.log(requestLogLine(r, sc, status, elapsed, start))
+			}
+			if s.flight != nil {
+				s.recordFlight(r, sc, status, elapsed, start)
+			}
+		}}
 		if s.metrics != nil {
 			s.metrics.inflight.Inc()
 			defer s.metrics.inflight.Dec()
 		}
 		next.ServeHTTP(rec, r.WithContext(ctx))
-		elapsed := time.Since(start)
-		status := rec.status()
-		if s.metrics != nil {
-			ep, class := endpointLabel(r.URL.Path), statusClass(status)
-			s.metrics.requestSeconds.With(ep, class).Observe(elapsed.Seconds())
-			s.metrics.requests.With(ep, class).Inc()
-		}
-		if sc.span != nil {
-			sc.span.End()
-		}
-		if s.logger != nil {
-			s.logger.log(requestLogLine(r, sc, status, elapsed, start))
-		}
-		if s.flight != nil {
-			s.recordFlight(r, sc, status, elapsed, start)
-		}
+		rec.commitStatus(http.StatusOK)
 	})
 }
 

@@ -380,3 +380,44 @@ func TestHealthzJSONShapeUnchanged(t *testing.T) {
 		t.Errorf("/healthz JSON changed:\n got: %s\nwant: %s", raw, want)
 	}
 }
+
+// commitProbe is a ResponseWriter that snapshots the request log at the
+// moment the middleware passes the status through to it.
+type commitProbe struct {
+	*httptest.ResponseRecorder
+	log      *syncBuffer
+	atCommit string
+}
+
+func (p *commitProbe) WriteHeader(code int) {
+	p.atCommit = p.log.String()
+	p.ResponseRecorder.WriteHeader(code)
+}
+
+// TestObserveRecordsAtCommit: the observe middleware records a request
+// before its status reaches the client, and still records a handler
+// that never writes once it returns.
+func TestObserveRecordsAtCommit(t *testing.T) {
+	buf := &syncBuffer{}
+	s := &server{logger: &jsonLogger{w: buf}}
+	h := s.observe(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/teapot" {
+			w.WriteHeader(http.StatusTeapot)
+		}
+	}))
+
+	probe := &commitProbe{ResponseRecorder: httptest.NewRecorder(), log: buf}
+	h.ServeHTTP(probe, httptest.NewRequest(http.MethodGet, "/teapot", nil))
+	if !strings.Contains(probe.atCommit, `"status":418`) {
+		t.Errorf("request not logged when its status was committed; log then: %q", probe.atCommit)
+	}
+	if n := strings.Count(buf.String(), "\n"); n != 1 {
+		t.Errorf("%d log lines after one request, want 1", n)
+	}
+
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/silent", nil))
+	line := lastLogLine(t, buf)
+	if line["path"] != "/silent" || line["status"] != float64(http.StatusOK) {
+		t.Errorf("silent handler logged as %v, want /silent with status 200", line)
+	}
+}
